@@ -31,10 +31,12 @@ bench-json:
 # snapshot. Sim-ns keys are compared exactly; --subset accepts that a
 # fast run carries no host-clock entries; --strict-meta refuses a
 # baseline without a meta block (every snapshot since PR 9 carries one).
-# Exits non-zero on regression.
+# The baseline is the newest snapshot, BENCH_PR10.json, so the fams,
+# faultcheck and litmus keys it added are gated too. Exits non-zero on
+# regression.
 bench-diff:
 	dune exec bench/main.exe -- --fast --json BENCH_NEW_FAST.json
-	dune exec bin/splitfs_cli.exe -- bench-diff BENCH_PR9.json BENCH_NEW_FAST.json --subset --strict-meta
+	dune exec bin/splitfs_cli.exe -- bench-diff BENCH_PR10.json BENCH_NEW_FAST.json --subset --strict-meta
 
 # Scale-out serving tier smoke: the multi-tenant sweep up to N=1000
 # actors across all six stacks, plus the scheduler dispatch-overhead

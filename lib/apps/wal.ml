@@ -7,44 +7,28 @@ type op = Put of string * string | Delete of string
 
 type t = { path : string; fd : Fsapi.Fs.fd; mutable bytes : int }
 
-let crc s =
-  (* same CRC32 as the SplitFS log, reimplemented cheaply over strings *)
-  let table =
-    let t = Array.make 256 0 in
-    for n = 0 to 255 do
-      let c = ref n in
-      for _ = 0 to 7 do
-        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-      done;
-      t.(n) <- !c
-    done;
-    t
-  in
-  let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
-  !c lxor 0xFFFFFFFF
-
+(* A record is [payload length : int32 le][CRC-32 of payload : int32 le]
+   [payload]; the payload is built after a placeholder header, which is
+   patched once its length and checksum are known. *)
 let encode op =
-  let payload =
-    let b = Buffer.create 64 in
-    (match op with
-    | Put (k, v) ->
-        Buffer.add_char b 'P';
-        Buffer.add_int32_le b (Int32.of_int (String.length k));
-        Buffer.add_int32_le b (Int32.of_int (String.length v));
-        Buffer.add_string b k;
-        Buffer.add_string b v
-    | Delete k ->
-        Buffer.add_char b 'D';
-        Buffer.add_int32_le b (Int32.of_int (String.length k));
-        Buffer.add_string b k);
-    Buffer.contents b
-  in
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (crc payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Buffer.create 64 in
+  Buffer.add_int64_le b 0L;
+  (match op with
+  | Put (k, v) ->
+      Buffer.add_char b 'P';
+      Buffer.add_int32_le b (Int32.of_int (String.length k));
+      Buffer.add_int32_le b (Int32.of_int (String.length v));
+      Buffer.add_string b k;
+      Buffer.add_string b v
+  | Delete k ->
+      Buffer.add_char b 'D';
+      Buffer.add_int32_le b (Int32.of_int (String.length k));
+      Buffer.add_string b k);
+  let r = Buffer.to_bytes b in
+  let plen = Bytes.length r - 8 in
+  Bytes.set_int32_le r 0 (Int32.of_int plen);
+  Bytes.set_int32_le r 4 (Int32.of_int (Fsapi.Crc32.bytes r ~off:8 ~len:plen));
+  Bytes.unsafe_to_string r
 
 let open_ (fs : Fsapi.Fs.t) path =
   let fd = fs.open_ path Fsapi.Flags.(append (creat wronly)) in
@@ -74,8 +58,9 @@ let replay (fs : Fsapi.Fs.t) path f =
                let plen = Int32.to_int (String.get_int32_le data !pos) in
                let stored = Int32.to_int (String.get_int32_le data (!pos + 4)) land 0xFFFFFFFF in
                if plen <= 0 || !pos + 8 + plen > size then raise Exit;
+               if Fsapi.Crc32.string data ~off:(!pos + 8) ~len:plen <> stored then
+                 raise Exit;
                let payload = String.sub data (!pos + 8) plen in
-               if crc payload <> stored then raise Exit;
                (match payload.[0] with
                | 'P' ->
                    let klen = Int32.to_int (String.get_int32_le payload 1) in

@@ -383,7 +383,7 @@ let degraded_write t st ~at buf ~boff ~len =
     fence ~site:site_degraded_write t
   end
 
-let rec stage_write t st ~at buf ~boff ~len =
+let rec stage_write ?(relinked = false) t st ~at buf ~boff ~len =
   let h =
     match ensure_staging t st with
     | h -> Some h
@@ -413,11 +413,15 @@ let rec stage_write t st ~at buf ~boff ~len =
          full staging file as an honest ENOSPC instead of silently
          weakening the msync granularity *)
       Fsapi.Errno.(error ENOSPC "fams: staging file full before msync")
+  | None when relinked ->
+      (* a relink freed nothing this fresh handle can use (staging
+         pre-allocation is failing): retrying would spin forever *)
+      degraded_write t st ~at buf ~boff ~len
   | None ->
-      (* staging file exhausted: relink now to free it, then retry on a
-         fresh handle *)
+      (* staging file exhausted: relink now to free it, then retry once
+         on a fresh handle *)
       relink_file t st;
-      stage_write t st ~at buf ~boff ~len
+      stage_write ~relinked:true t st ~at buf ~boff ~len
   | Some s ->
       Staging.write t.staging_pool h ~off:s buf ~boff ~len;
       ignore (Kernelfs.Extent_tree.remove_range st.shadow ~logical:at ~len);
@@ -432,7 +436,7 @@ let rec stage_write t st ~at buf ~boff ~len =
             staging_ino = Staging.s_ino h;
             staging_off = s;
             len;
-            data_crc = Crc32.bytes buf ~off:boff ~len;
+            data_crc = Fsapi.Crc32.bytes buf ~off:boff ~len;
           }
         in
         log_entry t

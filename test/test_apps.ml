@@ -95,6 +95,45 @@ let test_wal_torn_tail_ignored () =
       let n = Apps.Wal.replay fs "/torn.wal" (fun _ -> ()) in
       Util.check_int "only the valid prefix" 1 n)
 
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let test_wal_format_pinned () =
+  (* On-media WAL records, byte for byte: [payload len][CRC-32][payload].
+     Logs written before the checksum moved to Fsapi.Crc32 must replay. *)
+  let pinned =
+    [
+      ( Apps.Wal.Put ("k", "value-1"),
+        "11000000d56952a75001000000070000006b76616c75652d31" );
+      (Apps.Wal.Delete "key-2", "0a0000003e938b6f44050000006b65792d32");
+      ( Apps.Wal.Put ("user42", String.make 40 'v'),
+        "37000000bc7f8f4c500600000028000000757365723432"
+        ^ String.concat "" (List.init 40 (fun _ -> "76")) );
+    ]
+  in
+  List.iter
+    (fun (op, want) -> Util.check_str "record bytes" want (hex (Apps.Wal.encode op)))
+    pinned;
+  (* replay stops at the first torn or checksum-mismatched record *)
+  let good = String.concat "" (List.map (fun (op, _) -> Apps.Wal.encode op) pinned) in
+  let replay_of data =
+    with_stack (fun _env _sys fs ->
+        Fsapi.Fs.write_file fs "/pin.wal" data;
+        let ops = ref [] in
+        let n = Apps.Wal.replay fs "/pin.wal" (fun op -> ops := op :: !ops) in
+        Util.check_int "callbacks = count" n (List.length !ops);
+        n)
+  in
+  Util.check_int "all records" 3 (replay_of good);
+  let rec1 = String.length (Apps.Wal.encode (fst (List.hd pinned))) in
+  let flip s i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+  in
+  Util.check_int "payload bit flip in record 2" 1 (replay_of (flip good (rec1 + 9)));
+  Util.check_int "crc bit flip in record 2" 1 (replay_of (flip good (rec1 + 4)));
+  Util.check_int "torn record 3" 2 (replay_of (String.sub good 0 (String.length good - 1)))
+
 (* --- lsm --- *)
 
 let small_lsm_cfg =
@@ -417,6 +456,7 @@ let suite =
     tc "sstable bounded range read" `Quick test_sstable_records_from;
     tc "wal append/replay" `Quick test_wal_replay;
     tc "wal torn tail ignored" `Quick test_wal_torn_tail_ignored;
+    tc "wal record bytes pinned" `Quick test_wal_format_pinned;
     tc "lsm put/get through compaction" `Quick test_lsm_basic;
     tc "lsm overwrite and delete" `Quick test_lsm_overwrite_and_delete;
     tc "lsm scan" `Quick test_lsm_scan;

@@ -420,6 +420,35 @@ let test_campaign_clean () =
   Util.check_bool "scrub migrations exercised" true (c.Faults.scrub_migrations > 0);
   Util.check_bool "media faults exercised" true (c.Faults.media > 0)
 
+let test_staging_starvation_terminates () =
+  (* splitfs-strict with a one-file staging pool whose pre-allocation
+     always fails: a relink frees nothing usable, so stage_write used to
+     retry forever at these seeds (the 0xFA17 campaign never reached the
+     spin). Each write now relinks at most once and then degrades to a
+     kernel write, which the oracle must accept. *)
+  let kind = Faultcheck.Splitfs Splitfs.Config.Strict in
+  List.iter
+    (fun seed ->
+      let w =
+        Crashcheck.Workload.generate ~mode:Splitfs.Config.Strict ~seed ~scale:16
+          ~nops:24 ()
+      in
+      let t =
+        Faultcheck.Runner.run_trial ~tiny_staging:true kind w
+          ~points:
+            [
+              Faultcheck.Resource
+                (Faults.rfault ~origin:Faults.Staging_prealloc Faults.Alloc
+                   ~from:0 Faults.Sticky);
+            ]
+      in
+      let name = Printf.sprintf "seed 0x%x" seed in
+      Util.check_int (name ^ ": no oracle violations") 0
+        (List.length t.Faultcheck.Runner.violations);
+      Util.check_bool (name ^ ": writes degraded") true
+        (t.Faultcheck.Runner.tcounts.Faults.degraded_writes > 0))
+    [ 0x1; 0x3; 0x7 ]
+
 let test_oracle_catches_injected_bug () =
   (* regression for the oracle itself: a deliberately dishonest degraded
      write path (data dropped, success returned) must be flagged *)
@@ -459,6 +488,8 @@ let suite =
     tc "zero faults: armed plane bit-identical" `Quick
       test_zero_faults_bit_identical;
     tc "faultcheck campaign clean at pinned seed" `Quick test_campaign_clean;
+    tc "staging starvation: relink once, then degrade" `Quick
+      test_staging_starvation_terminates;
     tc "oracle catches injected degradation bug" `Quick
       test_oracle_catches_injected_bug;
   ]

@@ -56,8 +56,58 @@ let test_errno_printer () =
 
 let test_crc32_known_vector () =
   (* standard CRC-32 of "123456789" is 0xCBF43926 *)
-  Util.check_int "check vector" 0xCBF43926 (Splitfs.Crc32.string "123456789");
-  Util.check_int "empty" 0 (Splitfs.Crc32.string "")
+  Util.check_int "check vector" 0xCBF43926 (Fsapi.Crc32.string "123456789");
+  Util.check_int "empty" 0 (Fsapi.Crc32.string "")
+
+(* Bit-at-a-time CRC-32: no tables, so it shares no code with the
+   slice-by-16 implementation it checks. *)
+let ref_crc32 buf ~off ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_matches_reference () =
+  let rng = Random.State.make [| 0xC4C |] in
+  let buf = Bytes.init 65536 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let check ~off ~len =
+    let got = Fsapi.Crc32.bytes buf ~off ~len in
+    if got <> ref_crc32 buf ~off ~len then
+      Alcotest.failf "off %d len %d: got 0x%08x, reference 0x%08x" off len got
+        (ref_crc32 buf ~off ~len)
+  in
+  (* every alignment against every tail length and several 16-byte blocks *)
+  for off = 0 to 15 do
+    for len = 0 to 300 do
+      check ~off ~len
+    done
+  done;
+  check ~off:0 ~len:(Bytes.length buf);
+  for _ = 1 to 1000 do
+    let off = Random.State.int rng (Bytes.length buf) in
+    let len = Random.State.int rng (min 4096 (Bytes.length buf - off) + 1) in
+    check ~off ~len
+  done;
+  (* a finished CRC extends over the next range *)
+  let whole = Fsapi.Crc32.bytes buf ~off:3 ~len:1000 in
+  let first = Fsapi.Crc32.bytes buf ~off:3 ~len:377 in
+  Util.check_int "update chains" whole
+    (Fsapi.Crc32.update first buf ~off:380 ~len:623);
+  Util.check_int "string = bytes" (Fsapi.Crc32.bytes buf ~off:5 ~len:40)
+    (Fsapi.Crc32.string (Bytes.to_string buf) ~off:5 ~len:40)
+
+let test_crc32_rejects_bad_ranges () =
+  let buf = Bytes.make 64 'x' in
+  List.iter
+    (fun (off, len) ->
+      match Fsapi.Crc32.bytes buf ~off ~len with
+      | _ -> Alcotest.failf "off %d len %d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (0, 65); (61, 4); (64, 1); (65, 0); (48, 17); (max_int, 16) ]
 
 let test_journal_accounting () =
   let env = Util.make_env () in
@@ -106,6 +156,9 @@ let suite =
     tc "reference FS POSIX semantics" `Quick test_ref_fs_is_posixish;
     tc "errno printer" `Quick test_errno_printer;
     tc "crc32 check vector" `Quick test_crc32_known_vector;
+    tc "crc32 slice-by-16 matches bitwise reference" `Quick
+      test_crc32_matches_reference;
+    tc "crc32 rejects out-of-range off/len" `Quick test_crc32_rejects_bad_ranges;
     tc "journal accounting" `Quick test_journal_accounting;
     tc "zipf deterministic" `Quick test_zipf_deterministic;
     tc "split_on_string" `Quick test_str_split;
